@@ -481,13 +481,12 @@ func (c *Controller) DatapathCount() int {
 }
 
 // ShardStat is one flow-state shard's occupancy snapshot: live (unexpired,
-// current-epoch) cache entries, in-flight decisions, parked duplicate
-// packet-ins across them, and the shard's revocation sequence.
+// current-epoch) cache entries, in-flight decisions, and parked duplicate
+// packet-ins across them.
 type ShardStat struct {
 	Cached  int
 	Pending int
 	Waiters int
-	RevSeq  uint64
 }
 
 // ShardStats snapshots every shard for the per-shard drill-down
@@ -500,9 +499,9 @@ func (c *Controller) ShardStats() []ShardStat {
 	for i := range c.flows.shards {
 		s := &c.flows.shards[i]
 		s.mu.Lock()
-		stat := ShardStat{Pending: len(s.pending), RevSeq: s.rev.Load()}
-		for _, waiters := range s.pending {
-			stat.Waiters += len(waiters)
+		stat := ShardStat{Pending: len(s.pending)}
+		for _, cl := range s.pending {
+			stat.Waiters += len(cl.waiters)
 		}
 		for _, e := range s.respCache {
 			if e.epoch == st.epoch && now.Before(e.expires) {
@@ -696,11 +695,16 @@ func (c *Controller) HandleEvent(ev openflow.PacketIn) {
 	sh := c.flows.shardFor(five)
 
 	// Duplicate packet-ins for a flow whose verdict is being computed park
-	// on the shard's waiter list; the first packet's verdict resolves them.
-	// A full waiter list (slow verdict at line rate) degrades to the
+	// on the owner's claim; the first packet's verdict resolves them. A
+	// full waiter list (slow verdict at line rate) degrades to the
 	// release-now path so one flow cannot pin unbounded switch buffers.
-	first, parkedOK := sh.begin(five, dp, ev)
+	// The claim enters the pending set before the cache probe: a
+	// revocation naming this flow between here and the decision's
+	// publication voids it (see claim).
+	s := acquireScratch()
+	first, parkedOK := sh.begin(five, &s.claim, dp, ev)
 	if !first {
+		scratchPool.Put(s) // untouched: nothing to clear
 		c.hot.dupPacketIns.Add(1)
 		if !parkedOK {
 			dp.ReleaseBuffer(ev.BufferID)
@@ -711,12 +715,8 @@ func (c *Controller) HandleEvent(ev openflow.PacketIn) {
 
 	// The decision owns the flow from here until finishDecision resolves
 	// it; capture the continuation context in the scratch so a suspended
-	// decision survives this goroutine. The shard's revocation sequence is
-	// captured before the cache probe: a revocation between here and the
-	// decision's publication voids it (see shard.rev).
-	s := acquireScratch()
+	// decision survives this goroutine.
 	s.sh, s.dp, s.ev, s.five = sh, dp, ev, five
-	s.revSeq = sh.rev.Load()
 	// Flight recorder: a nil recorder returns a nil buffer and every Rec
 	// below is a nil-receiver no-op — the disabled path stays within the
 	// M8 allocation budget. A forwarded packet-in carries the forwarder's
@@ -872,15 +872,16 @@ func (c *Controller) finishDecision(s *decisionScratch) {
 	}()
 
 	g := &s.gather
-	if sh.rev.Load() != s.revSeq {
-		// A revocation touched this shard after the decision claimed its
-		// flow: the responses it gathered (or the cache line it read) may
-		// predate the endpoint-state change that caused the revocation.
-		// Publishing would re-install possibly-stale state right behind the
-		// teardown, so the decision voids itself — buffer released, nothing
-		// cached, nothing installed; the packet's retransmission re-decides
-		// under current facts. (Same-shard neighbors occasionally void too;
-		// one spurious re-decision, never a wrong verdict.)
+	if s.claim.void.Load() {
+		// A revocation named this flow (or a host at either end) after the
+		// decision claimed it: the responses it gathered (or the cache line
+		// it read) may predate the endpoint-state change that caused the
+		// revocation. Publishing would re-install possibly-stale state
+		// right behind the teardown, so the decision voids itself — buffer
+		// released, nothing cached, nothing installed; the packet's
+		// retransmission re-decides under current facts. Revocations of
+		// other flows leave the claim alone (see docs/architecture.md
+		// "Ordering vs in-flight decisions" for why that is safe).
 		c.hot.revInflight.Add(1)
 		s.tb.Rec(trace.StageRevocationVoid, 0, 0)
 		s.tb.SetVerdict("voided")
@@ -894,11 +895,10 @@ func (c *Controller) finishDecision(s *decisionScratch) {
 		// whole TTL — the daemon may answer again for the next packet.
 		// Header-only decisions gathered nothing and re-decide from the
 		// header alone per packet, cheaper than a cache probe would be.
-		// The store itself re-checks the revocation sequence under the
-		// shard lock (a revocation racing past the check above must not be
-		// outrun by this write); on refusal the responses simply stay
-		// decision-owned and the post-publication re-check below settles
-		// the rest.
+		// The store itself re-checks the claim under the shard lock (a
+		// revocation racing past the check above must not be outrun by
+		// this write); on refusal the responses simply stay decision-owned
+		// and the post-publication re-check below settles the rest.
 		now := c.clock()
 		// Controller-built views get a refcounted life: the cache holds
 		// one reference, each concurrent borrower (lookup) another, and
@@ -916,7 +916,7 @@ func (c *Controller) finishDecision(s *decisionScratch) {
 			}
 			life.refs.Store(1)
 		}
-		if sh.store(five, cacheEntry{src: g.src, dst: g.dst, expires: now.Add(c.cacheTTL), epoch: st.epoch, life: life}, now, c.cacheTTL, s.revSeq) {
+		if sh.store(five, cacheEntry{src: g.src, dst: g.dst, expires: now.Add(c.cacheTTL), epoch: st.epoch, life: life}, now, c.cacheTTL, &s.claim) {
 			// The cache owns the responses now (decisions across goroutines
 			// may borrow them until eviction); the shard releases the life
 			// when the entry leaves.
@@ -1015,14 +1015,16 @@ func (c *Controller) finishDecision(s *decisionScratch) {
 	// the hot paths stay exactly as fast as without revocation.
 	if c.revoker != nil && !g.fromCache && !g.preDecided && g.mega == nil && (c.install || c.cacheTTL > 0) {
 		c.registerDeps(s)
-		// Publication re-check: a revocation that landed after the entry
-		// check at the top resolved to nothing (neither the cache entry
-		// nor the registration existed yet) — its state is gone, but ours
-		// just went live on pre-revocation facts. The registration is in
-		// place now, so tearing ourselves down reaches everything this
+		// Publication re-check: a revocation that voided the claim after
+		// the check at the top resolved to nothing (neither the cache
+		// entry nor the registration existed yet) — its state is gone, but
+		// ours just went live on pre-revocation facts. The registration is
+		// in place now, so tearing ourselves down reaches everything this
 		// decision installed; the next packet re-decides under current
-		// facts. One extra atomic load on the miss path, nothing on hits.
-		if sh.rev.Load() != s.revSeq {
+		// facts. Revocations mark claims before resolving the index, so one
+		// that marks after this load finds the registration instead. One
+		// extra atomic load on the miss path, nothing on hits.
+		if s.claim.void.Load() {
 			c.Counters.Add("revocations_raced", 1)
 			c.revokeResolved(five, "raced-decision", false)
 		}

@@ -318,11 +318,15 @@ func (t *megaTable) live() int {
 // megaInstall widens a freshly decided verdict into the class table and
 // registers its fact dependencies in the revocation index's wide side.
 // Runs on the decision path after install, before the publication
-// re-check: a fact update racing this insert either finds the entry
-// (its covering probe runs after its rev bump, which the re-check
-// observes) or the re-check fires and tears the entry straight back
-// down — in neither interleaving does a widened verdict survive facts
-// it predates.
+// re-check. A fact update racing this insert that names the founder, or
+// a host at either end of it, voids the founder's claim before it
+// probes: either its covering probe or wide resolution finds the entry,
+// or the re-check sees the void claim and tears the entry straight back
+// down — in neither interleaving does a widened verdict survive facts it
+// predates. A flow-scoped update naming another member leaves the claim
+// alone: the class verdict rests on the founder's facts, which that
+// update does not report changed, so the outcome is the one an update
+// arriving before this decision began would have left.
 func (c *Controller) megaInstall(s *decisionScratch, st *ctlState, d pf.Decision, tr pf.Trace) {
 	g := &s.gather
 	now := c.clock()

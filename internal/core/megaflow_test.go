@@ -271,10 +271,10 @@ func TestMegaflowFullMaskNotWidened(t *testing.T) {
 	}
 }
 
-// TestMegaflowUpdateRacingInstallVoidsDecision: a fact update arriving
-// while the founder is mid-gather bumps the shard's revocation sequence;
-// the decision voids itself and no widened entry is ever published on the
-// pre-update facts.
+// TestMegaflowUpdateRacingInstallVoidsDecision: a fact update naming the
+// founder while it is mid-gather voids the founder's claim; the decision
+// voids itself and no widened entry is ever published on the pre-update
+// facts.
 func TestMegaflowUpdateRacingInstallVoidsDecision(t *testing.T) {
 	gate := make(chan struct{})
 	tr := &gatedTransport{gate: gate, inner: &fakeTransport{responses: map[netaddr.IP]map[string]string{

@@ -42,9 +42,9 @@ func (c *Controller) HandleUpdate(host netaddr.IP, u wire.Update) {
 	c.hot.revUpdates.Add(1)
 	if u.FlowScoped() {
 		// Revoke unconditionally rather than checking registration first:
-		// even when no decision state exists yet, bumping the shard's
-		// revocation sequence voids a decision in flight for this flow,
-		// whose gathered responses predate the change.
+		// even when no decision state exists yet, the teardown voids a
+		// decision in flight for this flow, whose gathered responses
+		// predate the change.
 		c.revokeResolved(u.Flow, "update:"+updateKeyLabel(u), false)
 		return
 	}
@@ -76,6 +76,11 @@ func (c *Controller) RevokeHost(host netaddr.IP, key string) int {
 }
 
 func (c *Controller) revokeHostFact(host netaddr.IP, key, reason string) int {
+	// Void the host's in-flight decisions first, whether or not anything
+	// of the host's is registered yet: one that registers after the
+	// resolution below still finds its claim void at its publication
+	// re-check and tears itself down.
+	c.flows.voidHost(host)
 	flows := c.revoker.ResolveFact(host, key, nil)
 	n := len(flows)
 	if n > 0 {
@@ -154,19 +159,18 @@ func (c *Controller) revokeResolved(five flow.Five, reason string, broadcast boo
 	c.flushTeardown(b)
 }
 
-// revokeFlowInto is the per-flow half of a teardown: sequence bump, cache
+// revokeFlowInto is the per-flow half of a teardown: claim void, cache
 // drop, covering-megaflow teardown, dependency-index drop, audit record —
 // everything except the switch deletes, which accumulate in b (grouped per
 // datapath) for one batched flush. rule is the pre-decorated audit string
 // ("(revoked: <reason>)"), built once by the caller so a fan-in tearing N
 // flows does not concatenate it N times.
 func (c *Controller) revokeFlowInto(b *teardownBatch, st *ctlState, five flow.Five, reason, rule string, broadcast bool) {
-	sh := c.flows.shardFor(five)
-	// Order matters: bump the sequence before dropping the cache, so a
-	// decision that read the cache (or gathered responses) before the bump
-	// cannot publish after the drop without noticing.
-	sh.rev.Add(1)
-	dropped := sh.drop(five)
+	// Order matters: void the flow's in-flight claim before dropping the
+	// cache and resolving the index, so a decision that read the cache (or
+	// gathered responses) before the mark cannot publish after the drop
+	// without noticing.
+	dropped := c.flows.shardFor(five).voidAndDrop(five)
 	megaTorn := 0
 	if c.mega != nil {
 		// Any megaflow covering this flow falls with it: the class verdict
@@ -175,10 +179,11 @@ func (c *Controller) revokeFlowInto(b *teardownBatch, st *ctlState, five flow.Fi
 		// member's installed entries carry the class cookie, unreachable
 		// by the exact-cookie deletes below. Tearing the whole class down
 		// is conservative and correct — members re-decide and re-widen.
-		// The probe runs after the rev bump above, completing the install
-		// handshake: a widened entry inserted before this probe is found
-		// here; one inserted after will see the bump at its publication
-		// re-check and tear itself down.
+		// The probe runs after the claim mark above, completing the
+		// install handshake for a class this flow founds: a widened entry
+		// inserted before this probe is found here; one inserted after
+		// sees the void claim at its publication re-check and tears
+		// itself down.
 		for _, e := range c.mega.covering(five, nil) {
 			if c.teardownMega(st, e, reason, true) {
 				megaTorn++
@@ -200,7 +205,7 @@ func (c *Controller) revokeFlowInto(b *teardownBatch, st *ctlState, five flow.Fi
 	}
 	if !haveReg && !broadcast && !dropped {
 		// Nothing known about this flow: no cache entry, no registration.
-		// The sequence bump above still voids any in-flight decision.
+		// The claim mark above still voids an in-flight decision for it.
 		if megaTorn == 0 {
 			c.Counters.Add("revocations_noop", 1)
 		}

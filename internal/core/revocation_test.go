@@ -432,6 +432,107 @@ func TestInFlightRevocationVoidsDecision(t *testing.T) {
 	}
 }
 
+// TestHostScopedUpdateVoidsUnregisteredDecision: a host-scoped update
+// (here a bare resync, as a transport synthesizes after a serial gap)
+// arriving before any of the host's flows registered must still void a
+// decision in flight for that host — its gathered responses may predate
+// the gap.
+func TestHostScopedUpdateVoidsUnregisteredDecision(t *testing.T) {
+	gate := make(chan struct{})
+	tr := &gatedTransport{gate: gate, inner: &fakeTransport{responses: map[netaddr.IP]map[string]string{
+		hostA: {"name": "skype"},
+		hostB: {"name": "skype"},
+	}}}
+	dp1 := &fakeDatapath{id: 1}
+	c := New(Config{
+		Name:             "void-host",
+		Policy:           pf.MustCompile("void", revPolicy),
+		Transport:        tr,
+		Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
+		InstallEntries:   true,
+		ResponseCacheTTL: time.Hour,
+		Revocation:       true,
+	})
+	c.AddDatapath(dp1)
+	five := revFlow(48100)
+
+	decided := make(chan struct{})
+	go func() {
+		c.HandleEvent(sampleEvent(five, 1))
+		close(decided)
+	}()
+	tr.waitBlocked(t) // the decision is mid-gather, nothing registered yet
+	c.HandleUpdate(hostA, wire.Update{})
+	close(gate)
+	<-decided
+
+	if got := c.Counters.Get("revocations_inflight"); got != 1 {
+		t.Errorf("revocations_inflight = %d, want 1", got)
+	}
+	if c.CachedFlows() != 0 {
+		t.Error("voided decision cached its responses")
+	}
+	if c.Counters.Get("flows_allowed") != 0 || dp1.modCount() != 0 {
+		t.Errorf("voided decision published: flows_allowed=%d mods=%d",
+			c.Counters.Get("flows_allowed"), dp1.modCount())
+	}
+}
+
+// TestFlowScopedUpdateVoidsOnlyNamedDecision: with every flow in one
+// shard and two decisions in flight, a flow-scoped update voids the
+// decision for the flow it names and leaves the other to install.
+func TestFlowScopedUpdateVoidsOnlyNamedDecision(t *testing.T) {
+	tr := &fakeAsyncTransport{
+		fakeTransport: fakeTransport{responses: map[netaddr.IP]map[string]string{
+			hostA: {"name": "skype"},
+			hostB: {"name": "skype"},
+		}},
+		gate: make(chan struct{}),
+	}
+	dp1 := &fakeDatapath{id: 1}
+	c := New(Config{
+		Name:             "void-precise",
+		Policy:           pf.MustCompile("void", revPolicy),
+		Transport:        tr,
+		Topology:         &fakeTopo{hops: []Hop{{Datapath: 1, OutPort: 2}}},
+		InstallEntries:   true,
+		AsyncQueries:     true,
+		ResponseCacheTTL: time.Hour,
+		Revocation:       true,
+		Shards:           1,
+	})
+	c.AddDatapath(dp1)
+	x, y := revFlow(48200), revFlow(48201)
+
+	c.HandleEvent(sampleEvent(x, 1))
+	c.HandleEvent(sampleEvent(y, 1))
+	if got := c.ShardStats()[0].Pending; got != 2 {
+		t.Fatalf("pending = %d, want both decisions in flight", got)
+	}
+	c.HandleUpdate(hostA, wire.Update{Flow: x, Key: "name", Serial: 1})
+	close(tr.gate)
+	waitFor(t, "both decisions to finish", func() bool {
+		return c.Counters.Get("flows_allowed")+c.Counters.Get("revocations_inflight") == 2
+	})
+
+	if got := c.Counters.Get("revocations_inflight"); got != 1 {
+		t.Errorf("revocations_inflight = %d, want 1 (only the named flow)", got)
+	}
+	if got := c.Counters.Get("flows_allowed"); got != 1 {
+		t.Errorf("flows_allowed = %d, want 1 (the bystander installs)", got)
+	}
+	sh := c.flows.shardFor(y)
+	if sh.has(x) {
+		t.Error("voided decision cached its responses")
+	}
+	if !sh.has(y) {
+		t.Error("bystander decision was not cached")
+	}
+	if live, _, _ := c.RevocationIndexStats(); live != 1 {
+		t.Errorf("registrations = %d, want 1 (the bystander)", live)
+	}
+}
+
 // gatedTransport blocks the first query until its gate opens, so a test
 // can interleave a revocation mid-gather.
 type gatedTransport struct {

@@ -37,10 +37,10 @@ type decisionScratch struct {
 	// path. Only populated when revocation is enabled.
 	pathIDs []uint64
 
-	// revSeq is the flow's shard revocation sequence captured when the
-	// decision claimed the flow; finishDecision re-checks it before
-	// publishing (see shard.rev).
-	revSeq uint64
+	// claim is the decision's entry in its shard's pending set: parked
+	// duplicates and the void mark a revocation naming this flow sets.
+	// finishDecision checks it before publishing (see claim).
+	claim claim
 
 	// cookie, when non-zero, overrides the exact per-flow cookie on
 	// installed entries: megaflow member installs carry their class's
@@ -111,7 +111,13 @@ func (s *decisionScratch) release() {
 	}
 	s.mods = s.mods[:0]
 	s.pathIDs = s.pathIDs[:0]
-	s.revSeq = 0
+	// The claim left the pending set at resolve, so no revocation can
+	// reach it any more; keep the waiter capacity, drop what it pointed at.
+	for i := range s.claim.waiters {
+		s.claim.waiters[i] = parked{}
+	}
+	s.claim.waiters = s.claim.waiters[:0]
+	s.claim.void.Store(false)
 	s.cookie = 0
 	s.sh = nil
 	s.dp = nil

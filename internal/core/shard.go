@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"identxx/internal/flow"
+	"identxx/internal/netaddr"
 	"identxx/internal/openflow"
 	"identxx/internal/pf"
 	"identxx/internal/wire"
@@ -75,23 +76,29 @@ type parked struct {
 	frame    []byte
 }
 
+// claim is one in-flight decision's hold on its flow: the shard's pending
+// set maps the flow to its owner's claim from begin until resolve. Parked
+// duplicate packet-ins hang off it, and void marks it stale: a revocation
+// naming the flow (or a host at either end) between the claim and the
+// decision's publication sets void, because the responses the decision
+// gathered (or the cache line it read) may predate the endpoint-state
+// change. The decision then voids itself instead of publishing — nothing
+// cached, nothing installed — and the packet's retransmission re-decides
+// under current facts. The claim lives in the decision's pooled scratch,
+// so claiming allocates nothing; it is only ever marked through the
+// pending set, under the shard lock, so a resolved claim can be reset and
+// reused without a revocation reaching it.
+type claim struct {
+	waiters []parked
+	void    atomic.Bool
+}
+
 // shard is one lock domain of the flow-decision fast path.
 type shard struct {
 	mu        sync.Mutex
 	respCache map[flow.Five]cacheEntry
-	pending   map[flow.Five][]parked
+	pending   map[flow.Five]*claim
 	lastSweep time.Time
-
-	// rev counts revocations that touched this shard. A decision captures
-	// the value when it claims its flow and re-checks before publishing
-	// (cache store + install): a bump in between means an endpoint-state
-	// update raced the decision, whose gathered responses may predate the
-	// change — the decision voids itself instead of installing possibly
-	// stale state, and the packet's retransmission re-decides under current
-	// facts. Per-shard granularity means an unrelated same-shard revocation
-	// occasionally voids a healthy decision; that costs one re-decision,
-	// never correctness.
-	rev atomic.Uint64
 }
 
 // shardTable is the full sharded state. Size is fixed at construction, so
@@ -106,7 +113,7 @@ func newShardTable(n int) *shardTable {
 	t := &shardTable{shards: make([]shard, n), mask: uint64(n - 1)}
 	for i := range t.shards {
 		t.shards[i].respCache = make(map[flow.Five]cacheEntry)
-		t.shards[i].pending = make(map[flow.Five][]parked)
+		t.shards[i].pending = make(map[flow.Five]*claim)
 	}
 	return t
 }
@@ -122,33 +129,54 @@ func (t *shardTable) shardFor(five flow.Five) *shard {
 const maxParked = 64
 
 // begin claims the flow for the calling decision. The first caller for a
-// flow gets first=true and owns resolving it; later callers' events are
-// parked on the waiter list (parked=true) and resolved by the owner's
-// verdict, unless the list is full (parked=false: caller releases now).
-func (s *shard) begin(five flow.Five, dp openflow.Datapath, ev openflow.PacketIn) (first, parkedOK bool) {
+// flow gets first=true, its claim enters the pending set, and it owns
+// resolving the flow; later callers' events are parked on the owner's
+// claim (parked=true) and resolved by the owner's verdict, unless the
+// list is full (parked=false: caller releases now).
+func (s *shard) begin(five flow.Five, cl *claim, dp openflow.Datapath, ev openflow.PacketIn) (first, parkedOK bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if waiters, inFlight := s.pending[five]; inFlight {
-		if len(waiters) >= maxParked {
+	if owner, inFlight := s.pending[five]; inFlight {
+		if len(owner.waiters) >= maxParked {
 			return false, false
 		}
-		s.pending[five] = append(waiters, parked{
+		owner.waiters = append(owner.waiters, parked{
 			dp: dp, switchID: ev.SwitchID, bufferID: ev.BufferID, frame: ev.Frame,
 		})
 		return false, true
 	}
-	s.pending[five] = nil // in flight, no waiters yet
+	s.pending[five] = cl
 	return true, false
 }
 
 // resolve ends the flow's in-flight window and returns the parked
 // duplicates for the owner to release now that the verdict is installed.
+// The slice belongs to the owner's claim: it stays valid until the
+// owner's scratch is released.
 func (s *shard) resolve(five flow.Five) []parked {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	waiters := s.pending[five]
+	cl := s.pending[five]
 	delete(s.pending, five)
-	return waiters
+	if cl == nil {
+		return nil
+	}
+	return cl.waiters
+}
+
+// voidAndDrop is the shard half of a per-flow revocation: it marks the
+// flow's in-flight claim void, if there is one, and drops its cached
+// responses, reporting whether an entry was present. Both happen under one
+// hold of the shard lock, which store also holds while it checks the
+// claim: either a racing decision's store sees the mark and refuses, or
+// the store committed first and the drop here removes it.
+func (s *shard) voidAndDrop(five flow.Five) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if cl := s.pending[five]; cl != nil {
+		cl.void.Store(true)
+	}
+	return s.dropLocked(five)
 }
 
 // lookup returns the cached responses for five if present, unexpired, and
@@ -172,17 +200,18 @@ func (s *shard) lookup(five flow.Five, now time.Time, epoch uint64) (cacheEntry,
 // entries, so expiry cost is bounded, per shard, and off every other
 // shard's lock.
 //
-// revSeq is the revocation sequence the storing decision captured at
-// claim time; the write is refused (ok=false) if a revocation has touched
-// the shard since. The check happens under the shard lock, and teardown
-// bumps rev before taking that lock to drop: so either this store sees
-// the bump and refuses, or the store commits strictly before the
-// teardown's drop, which then removes it. In neither interleaving can a
-// pre-revocation response survive in the cache.
-func (s *shard) store(five flow.Five, e cacheEntry, now time.Time, ttl time.Duration, revSeq uint64) bool {
+// cl is the storing decision's claim (nil for callers outside a
+// decision); the write is refused (ok=false) once a revocation has voided
+// it. The check happens under the shard lock, and a revocation marks the
+// claim under that lock too, before dropping the flow's entry (see
+// voidAndDrop, voidHost): so either this store sees the mark and refuses,
+// or it commits strictly before the revocation's drop, which then removes
+// it. In neither interleaving can a pre-revocation response survive in
+// the cache.
+func (s *shard) store(five flow.Five, e cacheEntry, now time.Time, ttl time.Duration, cl *claim) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.rev.Load() != revSeq {
+	if cl != nil && cl.void.Load() {
 		return false
 	}
 	if s.lastSweep.IsZero() {
@@ -204,11 +233,15 @@ func (s *shard) store(five flow.Five, e cacheEntry, now time.Time, ttl time.Dura
 	return true
 }
 
-// drop removes one flow's cached responses (per-flow revocation),
-// reporting whether an entry was present.
+// drop removes one flow's cached responses (the switch evicted its
+// entry), reporting whether an entry was present.
 func (s *shard) drop(five flow.Five) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.dropLocked(five)
+}
+
+func (s *shard) dropLocked(five flow.Five) bool {
 	e, ok := s.respCache[five]
 	delete(s.respCache, five)
 	if ok {
@@ -241,6 +274,26 @@ func (t *shardTable) flushAll() {
 		for _, e := range old {
 			e.life.release()
 		}
+	}
+}
+
+// voidHost marks void every in-flight claim on a flow with host at either
+// end: the shard half of a host-scoped revocation (key-scoped update,
+// resync, operator revoke, credential lapse). It runs before the
+// revocation resolves the host's registered flows, so a decision that
+// registers after that resolution still finds its claim void at its
+// publication re-check — including when nothing of the host's was
+// registered yet.
+func (t *shardTable) voidHost(host netaddr.IP) {
+	for i := range t.shards {
+		s := &t.shards[i]
+		s.mu.Lock()
+		for five, cl := range s.pending {
+			if five.SrcIP == host || five.DstIP == host {
+				cl.void.Store(true)
+			}
+		}
+		s.mu.Unlock()
 	}
 }
 

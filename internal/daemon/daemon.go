@@ -4,6 +4,7 @@ import (
 	"path"
 	"strings"
 	"sync"
+	"unique"
 
 	"identxx/internal/cred"
 	"identxx/internal/flow"
@@ -43,9 +44,14 @@ type Daemon struct {
 	dynamicCap      int   // bound on dynamic (0 = DefaultDynamicCap)
 	dynamicEvicted  int64 // lifetime dynamic evictions
 	forge           ForgeFunc
-	answered        map[flow.Five]map[string]string // facts asserted per flow
-	answeredCap     int                             // bound on answered (0 = DefaultAnsweredCap)
-	answeredEvicted int64                           // lifetime memo evictions
+	answered        map[flow.Five]unique.Handle[string] // interned facts asserted per flow (push.go)
+	answeredCap     int                                 // bound on answered (0 = DefaultAnsweredCap)
+	answeredEvicted int64                               // lifetime memo evictions
+
+	// exeHashes caches each executable's content hash (exeHash): every
+	// answer carries it, and it never changes for a given executable.
+	exeMu     sync.Mutex
+	exeHashes map[hostinfo.Executable]string
 
 	// Publication side (push.go). pubMu owns the serial sequence and the
 	// subscriber set; it is never held while d.mu is taken for writing by
@@ -258,7 +264,7 @@ func (d *Daemon) buildHonest(q wire.Query) *wire.Response {
 	}
 	ground.Add(wire.KeyName, name)
 	ground.Add(wire.KeyAppName, name)
-	ground.Add(wire.KeyExeHash, proc.Exe.Hash())
+	ground.Add(wire.KeyExeHash, d.exeHash(proc.Exe))
 	if proc.Exe.Version != "" {
 		ground.Add(wire.KeyVersion, proc.Exe.Version)
 	}
@@ -274,4 +280,24 @@ func (d *Daemon) buildHonest(q wire.Query) *wire.Response {
 	ground.Add(wire.KeyHost, d.host.Name)
 	resp.Sections = append(resp.Sections, ground)
 	return resp
+}
+
+// maxExeHashes bounds the executable-hash cache; a host runs far fewer
+// distinct images, so reaching it only means many upgrades since the last
+// reset.
+const maxExeHashes = 1024
+
+// exeHash returns exe.Hash(), computed once per distinct executable.
+func (d *Daemon) exeHash(exe hostinfo.Executable) string {
+	d.exeMu.Lock()
+	defer d.exeMu.Unlock()
+	h, ok := d.exeHashes[exe]
+	if !ok {
+		if d.exeHashes == nil || len(d.exeHashes) >= maxExeHashes {
+			d.exeHashes = make(map[hostinfo.Executable]string)
+		}
+		h = exe.Hash()
+		d.exeHashes[exe] = h
+	}
+	return h
 }

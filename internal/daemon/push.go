@@ -1,7 +1,10 @@
 package daemon
 
 import (
-	"sort"
+	"encoding/binary"
+	"slices"
+	"strings"
+	"unique"
 
 	"identxx/internal/flow"
 	"identxx/internal/hostinfo"
@@ -103,26 +106,84 @@ func (d *Daemon) emitLocked(u wire.Update) {
 	}
 }
 
-// flatten reduces a response to its effective facts: for each key, the
-// Latest value (§3.3's "the latest value is the most trusted").
-func flatten(resp *wire.Response) map[string]string {
-	facts := make(map[string]string)
+// The memo stores what a flow was told as one interned string: the
+// canonical encoding of the response's effective facts — for each key its
+// Latest value (§3.3's "the latest value is the most trusted"), sorted by
+// key, each key and value length-prefixed. Flows of one process assert
+// identical facts, so a busy server's memo holds one copy per distinct
+// fact set rather than a map per flow, and a rescan compares two handles
+// instead of two maps, decoding only when they differ.
+
+// internFacts returns the interned canonical encoding of resp's effective
+// facts.
+func internFacts(resp *wire.Response) unique.Handle[string] {
+	var pairBuf [24]wire.KV
+	pairs := pairBuf[:0]
 	for _, s := range resp.Sections {
-		for _, p := range s.Pairs {
-			facts[p.Key] = p.Value
-		}
+		pairs = append(pairs, s.Pairs...)
 	}
-	return facts
+	// Stable, so among equal keys the last pair is the Latest.
+	slices.SortStableFunc(pairs, func(a, b wire.KV) int { return strings.Compare(a.Key, b.Key) })
+	var encBuf [512]byte
+	enc := encBuf[:0]
+	for i, p := range pairs {
+		if i+1 < len(pairs) && pairs[i+1].Key == p.Key {
+			continue // a later section overrides this value
+		}
+		enc = binary.AppendUvarint(enc, uint64(len(p.Key)))
+		enc = append(enc, p.Key...)
+		enc = binary.AppendUvarint(enc, uint64(len(p.Value)))
+		enc = append(enc, p.Value...)
+	}
+	return unique.Make(string(enc))
+}
+
+// nextFact decodes the first key/value pair of a canonical encoding and
+// returns the remainder; ok=false at the end.
+func nextFact(enc string) (key, value, rest string, ok bool) {
+	if enc == "" {
+		return "", "", "", false
+	}
+	key, enc = nextField(enc)
+	value, enc = nextField(enc)
+	return key, value, enc, true
+}
+
+func nextField(enc string) (field, rest string) {
+	n, w := binary.Uvarint([]byte(enc[:min(len(enc), binary.MaxVarintLen64)]))
+	enc = enc[w:]
+	return enc[:n], enc[n:]
+}
+
+// diffFacts walks two canonical encodings in key order and returns the
+// first key whose presence or value differs, with its old and new values
+// ("" where absent); changed=false when the fact sets are equal.
+func diffFacts(old, cur string) (key, oldV, newV string, changed bool) {
+	oldK, ov, oldRest, haveOld := nextFact(old)
+	curK, cv, curRest, haveCur := nextFact(cur)
+	for haveOld || haveCur {
+		switch {
+		case haveOld && (!haveCur || oldK < curK):
+			return oldK, ov, "", true
+		case haveCur && (!haveOld || curK < oldK):
+			return curK, "", cv, true
+		case ov != cv:
+			return oldK, ov, cv, true
+		}
+		oldK, ov, oldRest, haveOld = nextFact(oldRest)
+		curK, cv, curRest, haveCur = nextFact(curRest)
+	}
+	return "", "", "", false
 }
 
 // remember memoizes the facts just asserted for a flow, evicting (and
 // returning, for publication) an arbitrary other flow when the memo is
 // over capacity. Callers must not hold d.mu or d.pubMu.
 func (d *Daemon) remember(f flow.Five, resp *wire.Response) {
-	facts := flatten(resp)
+	facts := internFacts(resp)
 	d.mu.Lock()
 	if d.answered == nil {
-		d.answered = make(map[flow.Five]map[string]string)
+		d.answered = make(map[flow.Five]unique.Handle[string])
 	}
 	limit := d.answeredCap
 	if limit <= 0 {
@@ -155,28 +216,6 @@ func (d *Daemon) remember(f flow.Five, resp *wire.Response) {
 		}
 		d.pubMu.Unlock()
 	}
-}
-
-// diffFacts returns whether the fact maps differ and, if so, the first
-// changed key (sorted, for determinism) with its old and new values.
-func diffFacts(old, cur map[string]string) (key, oldV, newV string, changed bool) {
-	var keys []string
-	for k := range old {
-		if cur[k] != old[k] {
-			keys = append(keys, k)
-		}
-	}
-	for k := range cur {
-		if _, ok := old[k]; !ok {
-			keys = append(keys, k)
-		}
-	}
-	if len(keys) == 0 {
-		return "", "", "", false
-	}
-	sort.Strings(keys)
-	k := keys[0]
-	return k, old[k], cur[k], true
 }
 
 // onHostChange is the hostinfo change listener: it re-derives assertions
@@ -240,18 +279,16 @@ func (d *Daemon) rescanFlow(f flow.Five) {
 // rescanFlowLocked does the per-flow diff-and-publish. d.pubMu must be
 // held; d.mu must not be.
 func (d *Daemon) rescanFlowLocked(f flow.Five) {
-	cur := flatten(d.buildResponse(wire.Query{Flow: f}))
+	cur := internFacts(d.buildResponse(wire.Query{Flow: f}))
 	d.mu.Lock()
 	old, ok := d.answered[f]
-	if !ok {
+	if !ok || old == cur {
 		d.mu.Unlock()
 		return
 	}
-	key, oldV, newV, changed := diffFacts(old, cur)
-	if changed {
-		d.answered[f] = cur
-	}
+	d.answered[f] = cur
 	d.mu.Unlock()
+	key, oldV, newV, changed := diffFacts(old.Value(), cur.Value())
 	if changed {
 		d.emitLocked(wire.Update{Flow: f, Key: key, Old: oldV, New: newV})
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unique"
 
 	"identxx/internal/flow"
 	"identxx/internal/hostinfo"
@@ -407,5 +408,112 @@ func TestChangesWhileUnsubscribedForceResync(t *testing.T) {
 	defer cancel3()
 	if got := c3.all()[0].Serial; got != after {
 		t.Errorf("idle resubscribe moved the serial %d -> %d", after, got)
+	}
+}
+
+// TestExecutableHashGolden pins the exe-hash value answers carry: the
+// per-daemon cache must not change what controllers see, first answer or
+// cached.
+func TestExecutableHashGolden(t *testing.T) {
+	const golden = "19ad31b0e3604b17df920d20799aafe5" // SHA-256("/usr/bin/skype\x00210\x00")[:16], hex
+	_, d, p, five := pushHost(t)
+	if got := p.Exe.Hash(); got != golden {
+		t.Fatalf("Executable.Hash() = %q, want %q", got, golden)
+	}
+	for i := 0; i < 2; i++ {
+		if got, _ := d.HandleQuery(wire.Query{Flow: five}).Latest(wire.KeyExeHash); got != golden {
+			t.Errorf("answer %d exe-hash = %q, want %q", i, got, golden)
+		}
+	}
+}
+
+// TestAnsweredMemoInternsFacts: flows of one process assert identical
+// facts, so a full memo holds one interned fact set for all of them, and
+// a fact change still publishes the first changed key with its old and
+// new values for every flow.
+func TestAnsweredMemoInternsFacts(t *testing.T) {
+	h, d, p, _ := pushHost(t)
+	const flows = DefaultAnsweredCap
+	for i := 0; i < flows; i++ {
+		f, err := h.Connect(p.PID, flow.Five{
+			DstIP: netaddr.MustParseIP("10.9.0.2"), Proto: netaddr.ProtoTCP,
+			SrcPort: netaddr.Port(20000 + i), DstPort: 80,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.HandleQuery(wire.Query{Flow: f})
+	}
+	distinct := func() int {
+		d.mu.RLock()
+		defer d.mu.RUnlock()
+		sets := make(map[unique.Handle[string]]bool)
+		for _, h := range d.answered {
+			sets[h] = true
+		}
+		return len(sets)
+	}
+	if entries, _ := d.AnsweredStats(); entries != flows {
+		t.Fatalf("memo holds %d entries, want %d", entries, flows)
+	}
+	if n := distinct(); n != 1 {
+		t.Errorf("memo holds %d distinct fact sets, want 1", n)
+	}
+
+	c := newCollector()
+	cancel := d.Subscribe(c.fn)
+	defer cancel()
+	if !h.SetUserGroups("alice", "contractors") {
+		t.Fatal("SetUserGroups failed")
+	}
+	updates := 0
+	for _, u := range c.all() {
+		if u.Hello {
+			continue
+		}
+		updates++
+		if u.Key != wire.KeyGroupID || u.Old != "staff" || u.New != "contractors" {
+			t.Fatalf("update = %+v, want groupID staff -> contractors", u)
+		}
+	}
+	if updates != flows {
+		t.Errorf("updates = %d, want one per memoized flow (%d)", updates, flows)
+	}
+	if n := distinct(); n != 1 {
+		t.Errorf("after the change the memo holds %d distinct fact sets, want 1", n)
+	}
+}
+
+// TestDiffFactsFirstChangedKey: the diff walks both encodings in key
+// order and reports the first difference, whether a value changed or a
+// key appeared or vanished; the Latest value of a repeated key counts.
+func TestDiffFactsFirstChangedKey(t *testing.T) {
+	enc := func(sections ...[]wire.KV) string {
+		r := &wire.Response{}
+		for _, pairs := range sections {
+			r.Sections = append(r.Sections, wire.Section{Pairs: pairs})
+		}
+		return internFacts(r).Value()
+	}
+	base := enc([]wire.KV{{Key: "name", Value: "app"}, {Key: "userID", Value: "alice"}},
+		[]wire.KV{{Key: "name", Value: "skype"}})
+	for _, tc := range []struct {
+		cur             string
+		key, oldV, newV string
+		changed         bool
+	}{
+		{cur: enc([]wire.KV{{Key: "userID", Value: "alice"}, {Key: "name", Value: "skype"}})},
+		{cur: enc([]wire.KV{{Key: "name", Value: "skype"}, {Key: "userID", Value: "bob"}}),
+			key: "userID", oldV: "alice", newV: "bob", changed: true},
+		{cur: enc([]wire.KV{{Key: "name", Value: "skype"}}),
+			key: "userID", oldV: "alice", changed: true},
+		{cur: enc([]wire.KV{{Key: "groupID", Value: "staff"}, {Key: "name", Value: "x"}, {Key: "userID", Value: "alice"}}),
+			key: "groupID", newV: "staff", changed: true},
+	} {
+		key, oldV, newV, changed := diffFacts(base, tc.cur)
+		if key != tc.key || oldV != tc.oldV || newV != tc.newV || changed != tc.changed {
+			t.Errorf("diffFacts = %q %q %q %v, want %q %q %q %v",
+				key, oldV, newV, changed, tc.key, tc.oldV, tc.newV, tc.changed)
+		}
 	}
 }

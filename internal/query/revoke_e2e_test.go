@@ -203,3 +203,82 @@ pass from any to any port 631 with eq(@dst[type], printer)
 		t.Errorf("cache entries = %d after lease teardown", ctl.CachedFlows())
 	}
 }
+
+// TestE2EMemoEvictionVoidsNoBystander: a server daemon past its memo cap
+// evicts an earlier flow on every answer and pushes a flow-scoped update
+// for it, queued on the connection right behind the answer. Only the
+// evicted flow is revoked: the decision the answer was for installs, so
+// 64 sequential decisions void nothing, and every evicted flow's state is
+// torn down.
+func TestE2EMemoEvictionVoidsNoBystander(t *testing.T) {
+	src := startHost(t, "client", "10.7.2.1", workload.Skype, "alice")
+	dst := startHost(t, "server", "10.7.2.2", workload.Skype, "bob")
+	dst.d.SetAnsweredCap(4)
+	if err := dst.info.Listen(dst.proc.PID, netaddr.ProtoTCP, 5060); err != nil {
+		t.Fatal(err)
+	}
+
+	pool := query.NewPool(query.PoolConfig{Resolver: query.StaticResolver{
+		src.ip: src.addr,
+		dst.ip: dst.addr,
+	}})
+	t.Cleanup(func() { pool.Close() })
+	eng := query.NewEngine(query.Config{Lower: pool})
+	t.Cleanup(eng.Close)
+
+	sw := openflow.NewSwitch(1, "edge", 0)
+	ctl := core.New(core.Config{
+		Name: "evict-e2e",
+		Policy: pf.MustCompile("evict-e2e", `
+block all
+pass from any to any with eq(@src[name], skype) with eq(@dst[name], skype)
+`),
+		Transport:        eng,
+		Topology:         &e2eTopo{hops: []core.Hop{{Datapath: 1, OutPort: 2}}},
+		InstallEntries:   true,
+		AsyncQueries:     true,
+		ResponseCacheTTL: time.Hour,
+		Revocation:       true,
+	})
+	ctl.AddDatapath(sw)
+	if !eng.SetUpdateHandler(ctl.HandleUpdate) {
+		t.Fatal("engine lower does not push updates")
+	}
+
+	const decisions = 64
+	for i := 0; i < decisions; i++ {
+		five, err := src.info.Connect(src.proc.PID, flow.Five{
+			DstIP: dst.ip, Proto: netaddr.ProtoTCP, SrcPort: netaddr.Port(41000 + i), DstPort: 5060,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl.HandleEvent(packetIn(five, 1, openflow.BufferNone))
+		waitUntil(t, "decision to finish", func() bool {
+			return ctl.Counters.Get("flows_allowed")+ctl.Counters.Get("revocations_inflight") >= int64(i+1)
+		})
+		if i == 0 {
+			waitUntil(t, "hellos", func() bool { return ctl.Counters.Get("revocations_hellos") >= 2 })
+		}
+	}
+
+	_, evicted := dst.d.AnsweredStats()
+	if evicted != decisions-4 {
+		t.Fatalf("server memo evictions = %d, want %d", evicted, decisions-4)
+	}
+	waitUntil(t, "every evicted flow torn down", func() bool {
+		return ctl.Counters.Get("revocations_flows") >= evicted
+	})
+	if got := ctl.Counters.Get("revocations_inflight"); got != 0 {
+		t.Errorf("revocations_inflight = %d, want 0: evictions voided bystander decisions", got)
+	}
+	if got := ctl.Counters.Get("flows_allowed"); got != decisions {
+		t.Errorf("flows_allowed = %d, want %d", got, decisions)
+	}
+	if got := ctl.Counters.Get("revocations_flows"); got != evicted {
+		t.Errorf("revocations_flows = %d, want %d (one per evicted flow)", got, evicted)
+	}
+	if got := ctl.CachedFlows(); got != decisions-int(evicted) {
+		t.Errorf("cached flows = %d, want %d", got, decisions-int(evicted))
+	}
+}
