@@ -200,9 +200,8 @@ func (s *shard) lookup(five flow.Five, now time.Time, epoch uint64) (cacheEntry,
 // entries, so expiry cost is bounded, per shard, and off every other
 // shard's lock.
 //
-// cl is the storing decision's claim (nil for callers outside a
-// decision); the write is refused (ok=false) once a revocation has voided
-// it. The check happens under the shard lock, and a revocation marks the
+// cl is the storing decision's claim; the write is refused (ok=false)
+// once a revocation has voided it. The check happens under the shard lock, and a revocation marks the
 // claim under that lock too, before dropping the flow's entry (see
 // voidAndDrop, voidHost): so either this store sees the mark and refuses,
 // or it commits strictly before the revocation's drop, which then removes
@@ -211,7 +210,7 @@ func (s *shard) lookup(five flow.Five, now time.Time, epoch uint64) (cacheEntry,
 func (s *shard) store(five flow.Five, e cacheEntry, now time.Time, ttl time.Duration, cl *claim) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cl != nil && cl.void.Load() {
+	if cl.void.Load() {
 		return false
 	}
 	if s.lastSweep.IsZero() {

@@ -44,7 +44,7 @@ func TestShardEvictionReleasesViews(t *testing.T) {
 		tab := newShardTable(1)
 		acq, rel := viewDelta(t, func() {
 			sh := tab.shardFor(five)
-			sh.store(five, builtTestEntry(five, 1, now.Add(ttl)), now, ttl, nil)
+			sh.store(five, builtTestEntry(five, 1, now.Add(ttl)), now, ttl, &claim{})
 			sh.drop(five)
 		})
 		if acq != 2 || rel != 2 {
@@ -56,9 +56,9 @@ func TestShardEvictionReleasesViews(t *testing.T) {
 		tab := newShardTable(1)
 		acq, rel := viewDelta(t, func() {
 			sh := tab.shardFor(five)
-			sh.store(five, builtTestEntry(five, 1, now.Add(ttl)), now, ttl, nil)
+			sh.store(five, builtTestEntry(five, 1, now.Add(ttl)), now, ttl, &claim{})
 			// Same flow stored again: the resident entry is evicted.
-			sh.store(five, builtTestEntry(five, 1, now.Add(ttl)), now, ttl, nil)
+			sh.store(five, builtTestEntry(five, 1, now.Add(ttl)), now, ttl, &claim{})
 			sh.drop(five)
 		})
 		if acq != 4 || rel != 4 {
@@ -72,10 +72,10 @@ func TestShardEvictionReleasesViews(t *testing.T) {
 		acq, rel := viewDelta(t, func() {
 			sh := tab.shardFor(five)
 			// An entry that will be expired by the time the sweep runs.
-			sh.store(other, builtTestEntry(other, 1, now.Add(ttl)), now, ttl, nil)
+			sh.store(other, builtTestEntry(other, 1, now.Add(ttl)), now, ttl, &claim{})
 			// A store one TTL later triggers the opportunistic sweep.
 			later := now.Add(2 * ttl)
-			sh.store(five, builtTestEntry(five, 1, later.Add(ttl)), later, ttl, nil)
+			sh.store(five, builtTestEntry(five, 1, later.Add(ttl)), later, ttl, &claim{})
 			sh.drop(five)
 		})
 		if acq != 4 || rel != 4 {
@@ -89,7 +89,7 @@ func TestShardEvictionReleasesViews(t *testing.T) {
 			for i := 0; i < 16; i++ {
 				f := flow.Five{SrcIP: hostA, DstIP: hostB, Proto: netaddr.ProtoTCP,
 					SrcPort: netaddr.Port(1000 + i), DstPort: 2}
-				tab.shardFor(f).store(f, builtTestEntry(f, 1, now.Add(ttl)), now, ttl, nil)
+				tab.shardFor(f).store(f, builtTestEntry(f, 1, now.Add(ttl)), now, ttl, &claim{})
 			}
 			tab.flushAll()
 		})
@@ -108,7 +108,7 @@ func TestShardEvictionWaitsForBorrower(t *testing.T) {
 	five := flow.Five{SrcIP: hostA, DstIP: hostB, Proto: netaddr.ProtoTCP, SrcPort: 1, DstPort: 2}
 	tab := newShardTable(1)
 	sh := tab.shardFor(five)
-	sh.store(five, builtTestEntry(five, 1, now.Add(ttl)), now, ttl, nil)
+	sh.store(five, builtTestEntry(five, 1, now.Add(ttl)), now, ttl, &claim{})
 
 	e, ok := sh.lookup(five, now, 1)
 	if !ok {

@@ -4,6 +4,7 @@ import (
 	"path"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"unique"
 
 	"identxx/internal/cred"
@@ -48,10 +49,11 @@ type Daemon struct {
 	answeredCap     int                                 // bound on answered (0 = DefaultAnsweredCap)
 	answeredEvicted int64                               // lifetime memo evictions
 
-	// exeHashes caches each executable's content hash (exeHash): every
-	// answer carries it, and it never changes for a given executable.
-	exeMu     sync.Mutex
-	exeHashes map[hostinfo.Executable]string
+	// changes counts change notifications (rescan, rescanFlow). Each bumps
+	// it before reading the memo, so an answer that finds it moved between
+	// reading host state and memoizing may have been missed by a rescan
+	// and re-checks its flow (HandleQuery).
+	changes atomic.Uint64
 
 	// Publication side (push.go). pubMu owns the serial sequence and the
 	// subscriber set; it is never held while d.mu is taken for writing by
@@ -196,11 +198,20 @@ func (d *Daemon) HandleQuery(q wire.Query) *wire.Response {
 		// query wire end to end (they otherwise only surface in traces).
 		d.Counters.Add("daemon_queries_traced", 1)
 	}
+	gen := d.changes.Load()
 	resp := d.buildResponse(q)
 	// Remember what was asserted (post-forge: the memo tracks what went on
 	// the wire) so a later OS change can be mapped back to this flow and
 	// published as an update.
 	d.remember(q.Flow, resp)
+	if d.changes.Load() != gen {
+		// A change landed between reading host state and memoizing: its
+		// rescan may have run before the memo held this flow and so
+		// published nothing for it, leaving the answer just sent stale
+		// with no update to come. Diff the memoized answer against the
+		// current facts now.
+		d.recheckFlow(q.Flow)
+	}
 	return resp
 }
 
@@ -264,7 +275,7 @@ func (d *Daemon) buildHonest(q wire.Query) *wire.Response {
 	}
 	ground.Add(wire.KeyName, name)
 	ground.Add(wire.KeyAppName, name)
-	ground.Add(wire.KeyExeHash, d.exeHash(proc.Exe))
+	ground.Add(wire.KeyExeHash, proc.ExeHash())
 	if proc.Exe.Version != "" {
 		ground.Add(wire.KeyVersion, proc.Exe.Version)
 	}
@@ -280,24 +291,4 @@ func (d *Daemon) buildHonest(q wire.Query) *wire.Response {
 	ground.Add(wire.KeyHost, d.host.Name)
 	resp.Sections = append(resp.Sections, ground)
 	return resp
-}
-
-// maxExeHashes bounds the executable-hash cache; a host runs far fewer
-// distinct images, so reaching it only means many upgrades since the last
-// reset.
-const maxExeHashes = 1024
-
-// exeHash returns exe.Hash(), computed once per distinct executable.
-func (d *Daemon) exeHash(exe hostinfo.Executable) string {
-	d.exeMu.Lock()
-	defer d.exeMu.Unlock()
-	h, ok := d.exeHashes[exe]
-	if !ok {
-		if d.exeHashes == nil || len(d.exeHashes) >= maxExeHashes {
-			d.exeHashes = make(map[hostinfo.Executable]string)
-		}
-		h = exe.Hash()
-		d.exeHashes[exe] = h
-	}
-	return h
 }

@@ -239,6 +239,7 @@ func (d *Daemon) onHostChange(ch hostinfo.Change) {
 // bounded by the memo cap. With no subscribers nothing can be published:
 // the stream is marked dirty so the next Subscribe forces a resync.
 func (d *Daemon) rescan() {
+	d.changes.Add(1)
 	d.pubMu.Lock()
 	defer d.pubMu.Unlock()
 	d.mu.RLock()
@@ -258,8 +259,17 @@ func (d *Daemon) rescan() {
 	}
 }
 
-// rescanFlow re-derives one flow's facts and publishes if they changed.
+// rescanFlow re-derives one flow's facts after a change and publishes if
+// they changed.
 func (d *Daemon) rescanFlow(f flow.Five) {
+	d.changes.Add(1)
+	d.recheckFlow(f)
+}
+
+// recheckFlow is rescanFlow without counting a change: HandleQuery's
+// re-check after a concurrent change, which must not make other in-flight
+// answers re-check in turn.
+func (d *Daemon) recheckFlow(f flow.Five) {
 	d.pubMu.Lock()
 	defer d.pubMu.Unlock()
 	if len(d.subs) == 0 {

@@ -3,6 +3,7 @@ package daemon
 import (
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unique"
@@ -411,19 +412,75 @@ func TestChangesWhileUnsubscribedForceResync(t *testing.T) {
 	}
 }
 
+// TestChangeDuringAnswerPublishes: a host change that lands after an
+// answer read the host state but before the answer was memoized rescans a
+// memo that does not hold the flow yet. The daemon must still publish the
+// flow's update, or the stale answer it just sent would never be revoked.
+// The forge hook runs at exactly that point: after the honest response was
+// built, before HandleQuery memoizes it.
+func TestChangeDuringAnswerPublishes(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		change func(h *hostinfo.Host, d *Daemon)
+		key    string
+	}{
+		{"flow-scoped", func(h *hostinfo.Host, _ *Daemon) { h.SetUserGroups("alice", "contractors") }, wire.KeyGroupID},
+		{"full rescan", func(_ *hostinfo.Host, d *Daemon) {
+			d.InstallConfig(&ConfigFile{Apps: []*AppConfig{{
+				Path:  "/usr/bin/skype",
+				Pairs: []wire.KV{{Key: "vendor", Value: "skype-inc"}},
+			}}}, true)
+		}, "vendor"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, d, _, five := pushHost(t)
+			c := newCollector()
+			cancel := d.Subscribe(c.fn)
+			defer cancel()
+			var fired atomic.Bool
+			d.SetForge(func(_ wire.Query, honest *wire.Response) *wire.Response {
+				if fired.CompareAndSwap(false, true) {
+					tc.change(h, d)
+				}
+				return honest
+			})
+
+			d.HandleQuery(wire.Query{Flow: five})
+
+			var updates []wire.Update
+			for _, u := range c.all() {
+				if !u.Hello && u.Flow == five {
+					updates = append(updates, u)
+				}
+			}
+			if len(updates) != 1 || updates[0].Key != tc.key {
+				t.Fatalf("updates for the answered flow = %+v, want one naming %q", updates, tc.key)
+			}
+		})
+	}
+}
+
 // TestExecutableHashGolden pins the exe-hash value answers carry: the
-// per-daemon cache must not change what controllers see, first answer or
-// cached.
+// hash the host computes once per process must be what Executable.Hash
+// returns, on every answer.
 func TestExecutableHashGolden(t *testing.T) {
 	const golden = "19ad31b0e3604b17df920d20799aafe5" // SHA-256("/usr/bin/skype\x00210\x00")[:16], hex
-	_, d, p, five := pushHost(t)
+	h, d, p, five := pushHost(t)
 	if got := p.Exe.Hash(); got != golden {
 		t.Fatalf("Executable.Hash() = %q, want %q", got, golden)
+	}
+	if got := p.ExeHash(); got != golden {
+		t.Fatalf("Process.ExeHash() = %q, want %q", got, golden)
 	}
 	for i := 0; i < 2; i++ {
 		if got, _ := d.HandleQuery(wire.Query{Flow: five}).Latest(wire.KeyExeHash); got != golden {
 			t.Errorf("answer %d exe-hash = %q, want %q", i, got, golden)
 		}
+	}
+	// A group change replaces the process copy-on-write; the hash rides along.
+	h.SetUserGroups("alice", "contractors")
+	if got, _ := d.HandleQuery(wire.Query{Flow: five}).Latest(wire.KeyExeHash); got != golden {
+		t.Errorf("after group change exe-hash = %q, want %q", got, golden)
 	}
 }
 

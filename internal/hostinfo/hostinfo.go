@@ -62,7 +62,13 @@ type Process struct {
 	PID  int
 	User *User
 	Exe  Executable
+
+	exeHash string // Exe.Hash(), computed once when the process starts
 }
+
+// ExeHash returns Exe.Hash(). Every ident++ answer about the process
+// carries it, so the host computes it once, when the process starts.
+func (p *Process) ExeHash() string { return p.exeHash }
 
 // ErrPortInUse is returned by Listen for an already-bound port.
 var ErrPortInUse = fmt.Errorf("hostinfo: port in use")
@@ -196,7 +202,7 @@ func (h *Host) UserByName(name string) (*User, bool) {
 func (h *Host) Exec(user *User, exe Executable) *Process {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	p := &Process{PID: h.nextPID, User: user, Exe: exe}
+	p := &Process{PID: h.nextPID, User: user, Exe: exe, exeHash: exe.Hash()}
 	h.nextPID++
 	h.procs[p.PID] = p
 	return p
@@ -265,7 +271,7 @@ func (h *Host) SetUserGroups(name string, groups ...string) bool {
 	for pid, p := range h.procs {
 		if p.User == old {
 			ch = h.scopeOfPIDLocked(pid, ch)
-			h.procs[pid] = &Process{PID: p.PID, User: nu, Exe: p.Exe}
+			h.procs[pid] = &Process{PID: p.PID, User: nu, Exe: p.Exe, exeHash: p.exeHash}
 		}
 	}
 	h.mu.Unlock()
